@@ -1,9 +1,10 @@
 // The deterministic chaos engine: executes a ChurnScript against a fresh
 // simulated world and reports every oracle verdict.
 //
-// The world is rebuilt per run from the script's config alone — event
-// queue, synthetic latencies, a lossy SimTransport with an attached
-// FaultPlan (seeded drops/duplicates plus partition windows), a
+// The world is rebuilt per run from the script's config alone — a
+// ShardedNet with max(1, config.shards) lanes over synthetic or planet
+// latencies, each lane a lossy SimTransport with an attached FaultPlan
+// (seeded drops/duplicates plus partition windows) under a
 // ReliableTransport ARQ decorator healing those faults, and an Overlay with
 // the join- and leave-stall watchdogs enabled. Every source of
 // nondeterminism is a seeded Rng drawn through the script, so a run is a
@@ -19,7 +20,7 @@
 //   2. heals: advances simulated time past any open partition window and
 //      drains again (the ARQ layer's buffered traffic flows across the
 //      former cut),
-//   3. repairs: Overlay::repair_all for config.heal_rounds rounds (0
+//   3. repairs: config.heal_rounds rounds of Overlay::repair_all's cadence (0
 //      disables healing — the deliberately-broken fixture mode that the
 //      shrinker tests minimize against),
 //   4. runs the invariant oracles (chaos/oracles.h) and records a verdict.

@@ -162,14 +162,15 @@ struct ChaosConfig {
 
   // ---- sharded execution (parser-optional key, same compatibility
   // ---- contract) ----
-  // Number of simulator shards (worker lanes) the run executes on. 0 or 1 =
-  // the sequential single-queue engine, byte-identical to before this knob
-  // existed (every pinned digest is a shards<=1 run). Values > 1 partition
-  // the hosts across per-lane event queues under the epoch/barrier scheme
-  // (sim/shard_driver.h); the digest is invariant across shard counts, but
-  // such runs require drop = dup = 0 and degrade = 0 — probabilistic fault
-  // streams and mid-epoch backlog reads are inherently single-queue (the
-  // runner rejects the combination).
+  // Number of simulator shards (worker lanes) the run executes on; 0 means
+  // 1. Every run uses the sharded stack (net/sharded_net.h) with
+  // max(1, shards) lanes, and K = 1 — one lane, one event queue — is the
+  // single-queue stack every pinned digest was taken on. Values > 1
+  // partition the hosts across per-lane event queues under the
+  // epoch/barrier scheme (sim/shard_driver.h); the digest is invariant
+  // across shard counts, but such runs require drop = dup = 0 and
+  // degrade = 0 — probabilistic fault streams and mid-epoch backlog reads
+  // are inherently single-queue (the runner rejects the combination).
   std::uint32_t shards = 1;
 };
 

@@ -215,8 +215,8 @@ std::span<const NodeId> NeighborTable::distinct_neighbors() const {
   // sharded driver thread impersonates several lanes back to back at a
   // barrier (LaneScope), and a single thread_local buffer would let lane
   // B's call clobber the span lane A's repair pass is still iterating.
-  // The spare last slot serves every call outside a lane scope — the
-  // sequential engine and plain tests — preserving the original contract
+  // The spare last slot serves every call outside a lane scope — plain
+  // single-queue runs and tests — preserving the original contract
   // there. A span must never cross an epoch barrier (the lane may resume
   // on a different thread); hclint's scratch-no-escape rule pins the
   // consume-in-place discipline at every call site.

@@ -160,8 +160,8 @@ class NeighborTable {
   // The set of distinct nodes (other than the owner) appearing in the
   // table, in level-major first-appearance order. The span aliases a
   // per-lane scratch buffer shared by all tables executing on the same
-  // lane (the spare slot, outside any LaneScope, plays that role for the
-  // sequential engine and tests): it is invalidated by the next call to
+  // lane (the spare slot, outside any LaneScope, plays that role for
+  // plain single-queue runs and tests): it is invalidated by the next call to
   // distinct_neighbors() on ANY table of the same lane, and must never be
   // held across an epoch barrier — the lane may resume on another thread
   // whose scratch is a different object (callers that need the set across

@@ -69,7 +69,7 @@ IdTable::Ref IdTable::intern(std::span<const Digit> digits) {
       // are allocated once and never touched again, so readers that
       // acquire `count_` (or the level pointer) see a complete record.
       const Ref ref = count;
-      HCUBE_CHECK(ref < level_base(kLevels));
+      HCUBE_CHECK(ref < kMaxRefs);
       const std::uint32_t level = level_of(ref);
       if (levels_[level].load(std::memory_order_relaxed) == nullptr) {
         level_storage_.push_back(

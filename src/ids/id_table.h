@@ -96,6 +96,15 @@ class IdTable {
   static constexpr std::uint32_t kL0Shift = 10;
   static constexpr std::uint32_t kLevels = 22;
 
+ public:
+  // Refs the kLevels levels hold, 2^32 - 2^10: every ref below it has a
+  // record slot, and kInvalidRef lies above it. Computed in 64 bits —
+  // level_base(kLevels) would shift a 32-bit 1 by 32.
+  static constexpr std::uint64_t kMaxRefs =
+      (std::uint64_t{1} << (kL0Shift + kLevels)) -
+      (std::uint64_t{1} << kL0Shift);
+
+ private:
   static std::uint32_t level_of(Ref ref) {
     return static_cast<std::uint32_t>(
                std::bit_width(ref + (1u << kL0Shift))) -

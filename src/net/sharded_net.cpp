@@ -15,77 +15,6 @@ namespace {
 constexpr std::uint64_t kShardSalt = 0x51ab7e93d2c46f01ULL;
 }  // namespace
 
-// ---------------------------------------------------------------- lanes --
-
-HostId LaneTransport::add_endpoint(Handler) {
-  HCUBE_CHECK_MSG(false, "lane endpoints register via add_endpoint_as");
-  return kNoHost;
-}
-
-HostId LaneTransport::add_endpoint_as(HostId global, Handler handler) {
-  HCUBE_DCHECK(local_of_ != nullptr &&
-               (*local_of_)[global] == handlers_.size());
-  handlers_.push_back(std::move(handler));
-  return global;
-}
-
-std::uint32_t LaneTransport::park(Message msg) {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(msg);
-    return slot;
-  }
-  const auto slot = static_cast<std::uint32_t>(slots_.size());
-  slots_.push_back(std::move(msg));
-  return slot;
-}
-
-void LaneTransport::dispatch_one(HostId from, HostId to, SimTime deliver_at,
-                                 Message msg) {
-  const std::uint32_t dst = (*lane_of_)[to];
-  if (dst == lane_) {
-    const std::uint32_t slot = park(std::move(msg));
-    queue_.schedule_delivery_at(deliver_at, this, from, to, slot);
-    return;
-  }
-  ++cross_shard_sent_;
-  out_[dst]->push(RemoteDelivery{deliver_at, from, to, std::move(msg)});
-}
-
-bool LaneTransport::send(HostId from, HostId to, Message msg) {
-  // Exactly PooledTransport::send, with the destination-lane fork folded
-  // into dispatch_one: drop short-circuits, a duplicate takes its own slab
-  // slot (or mailbox entry) and is dispatched *before* the primary, both
-  // share one delivery time.
-  const FaultDecision d = admit(from, to, msg);
-  if (d.action == FaultAction::kDrop) {
-    ++messages_dropped_;
-    return false;
-  }
-  const SimTime deliver_at =
-      queue_.now() + latency_.latency_ms(from, to) + d.extra_delay_ms;
-  if (d.action == FaultAction::kDuplicate) {
-    ++messages_sent_;
-    dispatch_one(from, to, deliver_at, msg);
-  }
-  ++messages_sent_;
-  dispatch_one(from, to, deliver_at, std::move(msg));
-  return true;
-}
-
-void LaneTransport::deliver(HostId from, HostId to,
-                            std::uint32_t payload_slot) {
-  ++messages_delivered_;
-  handlers_[(*local_of_)[to]](from, slots_[payload_slot]);
-  free_slots_.push_back(payload_slot);
-}
-
-void LaneTransport::commit_remote(RemoteDelivery r) {
-  const std::uint32_t slot = park(std::move(r.msg));
-  queue_.schedule_delivery_at(r.deliver_at, this, r.from, r.to, slot);
-}
-
 // --------------------------------------------------------------- facade --
 
 HostId ShardedTransport::add_endpoint(Handler handler) {
@@ -97,10 +26,10 @@ std::uint32_t ShardedTransport::num_endpoints() const {
 }
 
 bool ShardedTransport::send(HostId from, HostId to, Message msg) {
-  // Decorator-level hooks with sequential parity: a drop here is "never
-  // sent" (no sequence number, no retransmission), exactly as hooks on the
-  // sequential ReliableTransport behave. Duplicate/delay decisions are
-  // ignored at this layer — install fault plans on the lane transports.
+  // Decorator-level hooks with single-lane parity: a drop here is "never
+  // sent" (no sequence number, no retransmission), exactly as hooks on a
+  // lone ReliableTransport behave. Duplicate/delay decisions are ignored at
+  // this layer — install fault plans on the lane transports.
   const FaultDecision d = admit(from, to, msg);
   if (d.action == FaultAction::kDrop) {
     ++dropped_here_;
@@ -137,55 +66,53 @@ std::uint64_t ShardedTransport::messages_dropped() const {
 // ------------------------------------------------------------------ net --
 
 ShardedNet::ShardedNet(const Params& params, LatencyModel& latency)
-    : salt_(kShardSalt),
-      epoch_ms_(params.epoch_ms > 0.0 ? params.epoch_ms
-                                      : latency.min_latency_ms()),
-      facade_(*this) {
+    : salt_(kShardSalt), epoch_ms_(latency.min_latency_ms()) {
   HCUBE_CHECK(params.lanes >= 1 && params.lanes <= kMaxShardLanes);
   HCUBE_CHECK_MSG(epoch_ms_ > 0.0,
                   "latency model cannot bound cross-shard latency");
-  HCUBE_CHECK_MSG(epoch_ms_ <= latency.min_latency_ms(),
-                  "epoch longer than the minimum cross-shard latency");
   const std::uint32_t k = params.lanes;
-  // Size the per-host columns for the latency model's full population up
-  // front: growth doubling on million-entry vectors would otherwise leave
-  // ~2x capacity slack, which bench_scale's bytes/node ceiling charges to
-  // every node. Per-lane columns get the expected share plus a ~1.5%
-  // imbalance margin (the hash split's deviation at n = 10^6 is well under
-  // 0.1%); an overflow merely falls back to doubling from there.
-  const std::size_t expected = latency.num_hosts();
-  const std::size_t per_lane = expected / k + expected / 64 + 64;
-  lane_of_.reserve(expected);
-  local_of_.reserve(expected);
   queues_.reserve(k);
   transports_.reserve(k);
   rels_.reserve(k);
   for (std::uint32_t i = 0; i < k; ++i)
     queues_.push_back(std::make_unique<EventQueue>());
-  for (std::uint32_t i = 0; i < k; ++i)
-    transports_.push_back(
-        std::make_unique<LaneTransport>(i, *queues_[i], latency));
-  for (std::uint32_t i = 0; i < k; ++i)
-    rels_.push_back(std::make_unique<ReliableTransport>(
-        *transports_[i], params.rel, &local_of_));
-  for (std::uint32_t i = 0; i < k; ++i) {
-    transports_[i]->reserve_endpoints(per_lane);
-    rels_[i]->reserve_endpoints(per_lane);
-  }
-  mail_.resize(k);
-  for (std::uint32_t src = 0; src < k; ++src) {
-    mail_[src].resize(k);
-    for (std::uint32_t dst = 0; dst < k; ++dst)
-      if (src != dst)
-        mail_[src][dst] =
-            std::make_unique<SpscMailbox<RemoteDelivery>>(
-                params.mailbox_capacity);
-  }
-  for (std::uint32_t i = 0; i < k; ++i) {
-    std::vector<SpscMailbox<RemoteDelivery>*> out(k, nullptr);
-    for (std::uint32_t j = 0; j < k; ++j)
-      if (j != i) out[j] = mail_[i][j].get();
-    transports_[i]->set_routing(&lane_of_, &local_of_, std::move(out));
+  // Size the per-host columns for the latency model's full population up
+  // front: growth doubling on million-entry vectors would otherwise leave
+  // ~2x capacity slack, which bench_scale's bytes/node ceiling charges to
+  // every node.
+  const std::size_t expected = latency.num_hosts();
+  if (k == 1) {
+    // The single-queue stack: lane 0 in dense mode, addressed directly.
+    transports_.push_back(std::make_unique<SimTransport>(*queues_[0], latency));
+    rels_.push_back(
+        std::make_unique<ReliableTransport>(*transports_[0], params.rel));
+    rels_[0]->reserve_endpoints(expected);
+  } else {
+    // Per-lane columns get the expected share plus a ~1.5% imbalance margin
+    // (the hash split's deviation at n = 10^6 is well under 0.1%); an
+    // overflow merely falls back to doubling from there.
+    const std::size_t per_lane = expected / k + expected / 64 + 64;
+    lane_of_.reserve(expected);
+    local_of_.reserve(expected);
+    for (std::uint32_t i = 0; i < k; ++i) {
+      transports_.push_back(std::make_unique<SimTransport>(
+          *queues_[i], latency, &local_of_,
+          [this, i](HostId from, HostId to, SimTime at, Message& msg) {
+            return post_remote(i, from, to, at, msg);
+          }));
+      rels_.push_back(std::make_unique<ReliableTransport>(
+          *transports_[i], params.rel, &local_of_));
+      transports_[i]->reserve_endpoints(per_lane);
+      rels_[i]->reserve_endpoints(per_lane);
+    }
+    mail_.resize(k);
+    for (std::uint32_t src = 0; src < k; ++src) {
+      mail_[src].resize(k);
+      for (std::uint32_t dst = 0; dst < k; ++dst)
+        if (src != dst)
+          mail_[src][dst] = std::make_unique<SpscMailbox<RemoteDelivery>>();
+    }
+    facade_ = std::make_unique<ShardedTransport>(*this);
   }
   std::vector<EventQueue*> lanes;
   lanes.reserve(k);
@@ -210,6 +137,14 @@ HostId ShardedNet::register_endpoint(Transport::Handler handler) {
   return g;
 }
 
+bool ShardedNet::post_remote(std::uint32_t lane, HostId from, HostId to,
+                             SimTime deliver_at, Message& msg) {
+  const std::uint32_t dst = lane_of_[to];
+  if (dst == lane) return false;
+  mail_[lane][dst]->push(RemoteDelivery{deliver_at, from, to, std::move(msg)});
+  return true;
+}
+
 void ShardedNet::commit_mailboxes() {
   // Canonical (epoch, src_shard, seq) order: barriers order the epochs,
   // this loop orders sources, each mailbox preserves push order.
@@ -219,7 +154,9 @@ void ShardedNet::commit_mailboxes() {
       if (src == dst) continue;
       SpscMailbox<RemoteDelivery>& mb = *mail_[src][dst];
       RemoteDelivery r;
-      while (mb.pop(r)) transports_[dst]->commit_remote(std::move(r));
+      while (mb.pop(r))
+        transports_[dst]->deliver_remote(r.deliver_at, r.from, r.to,
+                                         std::move(r.msg));
     }
   }
 }
@@ -245,7 +182,7 @@ std::uint64_t ShardedNet::rel_in_flight() const {
 
 std::uint64_t ShardedNet::cross_shard_messages() const {
   std::uint64_t n = 0;
-  for (const auto& t : transports_) n += t->cross_shard_sent();
+  for (const auto& t : transports_) n += t->remote_sent();
   return n;
 }
 

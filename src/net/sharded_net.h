@@ -1,38 +1,39 @@
-// Sharded network stack: per-lane transports + reliable decorators behind
-// one Transport facade, with cross-shard deliveries routed through SPSC
-// mailboxes and committed at the epoch barrier.
+// The simulation stack: per-lane transports + reliable decorators, with
+// cross-shard deliveries routed through SPSC mailboxes and committed at the
+// epoch barrier. K = 1 is the single-queue stack itself.
 //
 // Host ids stay GLOBAL everywhere in the API — the reliable layer's acks
 // must address the remote's global id no matter which lane it lives on.
 // Each lane owns dense *local* storage for its own endpoints, found via the
-// facade-owned local-index vector (see ReliableTransport's lane mode).
+// net-owned local-index column (see the lane modes of PooledTransport and
+// ReliableTransport).
 //
 // Topology (K lanes, hash-assigned by shard_of):
 //
-//   Overlay -> ShardedTransport (facade: decorator-level hooks, routing)
+//   Overlay -> ShardedTransport (K > 1 only: decorator-level hooks, routing)
 //            -> ReliableTransport[lane(from)]   (acks/retransmit, lane state)
-//             -> LaneTransport[lane(from)]      (latency, faults, slab)
+//             -> SimTransport[lane(from)]       (latency, faults, slab)
 //                 |-- same-lane dest: schedule on the lane's own EventQueue
-//                 '-- cross-lane dest: push RemoteDelivery{deliver_at, ...}
-//                     into mailbox[lane(from)][lane(to)]; the driver commits
-//                     it into lane(to)'s queue at the next barrier.
+//                 '-- cross-lane dest: the remote-dispatch hook pushes
+//                     RemoteDelivery{deliver_at, ...} into
+//                     mailbox[lane(from)][lane(to)]; the driver commits it
+//                     into lane(to)'s queue at the next barrier.
 //
-// LaneTransport::send replicates PooledTransport's send semantics exactly
-// (drop/duplicate/extra-delay handling, duplicate scheduled before the
-// primary, one slab slot per in-flight copy), so a fault plan attached to a
-// lane behaves bit-identically to one attached to the sequential
-// SimTransport. Correctness of the deferred commit rests on the epoch
-// invariant: epoch length <= the latency model's min cross-shard latency,
-// so deliver_at = send_time + latency is never earlier than the barrier
-// that commits it (sim/shard_driver.h).
+// At K = 1 transport() is lane 0's ReliableTransport and lane 0 runs in
+// dense mode: no facade, routing columns or mailboxes, so hooks and
+// observers see the plain EventQueue + SimTransport + ReliableTransport
+// stack. Correctness of the deferred commit rests on the epoch invariant:
+// epoch length = the latency model's min cross-shard latency, so
+// deliver_at = send_time + latency is never earlier than the barrier that
+// commits it (sim/shard_driver.h).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "net/reliable_transport.h"
+#include "net/sim_transport.h"
 #include "net/transport.h"
 #include "sim/mailbox.h"
 #include "sim/shard_driver.h"
@@ -52,77 +53,10 @@ struct RemoteDelivery {
   Message msg;
 };
 
-// One lane's latency-modelled transport: same send semantics as
-// SimTransport, but destinations on other lanes go through a mailbox
-// instead of the (foreign, untouchable) destination queue.
-class LaneTransport final : public Transport, private DeliverySink {
- public:
-  LaneTransport(std::uint32_t lane, EventQueue& queue, LatencyModel& latency)
-      : lane_(lane), queue_(queue), latency_(latency) {}
-
-  // Routing tables (facade-owned, borrowed) and outgoing mailboxes
-  // (net-owned, one per destination lane; self entry unused). Wired by
-  // ShardedNet after construction.
-  void set_routing(const std::vector<std::uint32_t>* lane_of,
-                   const std::vector<std::uint32_t>* local_of,
-                   std::vector<SpscMailbox<RemoteDelivery>*> out) {
-    lane_of_ = lane_of;
-    local_of_ = local_of;
-    out_ = std::move(out);
-  }
-
-  // Capacity hint for the lane's handler column (see
-  // ReliableTransport::reserve_endpoints).
-  void reserve_endpoints(std::size_t n) { handlers_.reserve(n); }
-
-  HostId add_endpoint(Handler handler) override;
-  HostId add_endpoint_as(HostId global, Handler handler) override;
-  std::uint32_t num_endpoints() const override {
-    return static_cast<std::uint32_t>(handlers_.size());
-  }
-
-  bool send(HostId from, HostId to, Message msg) override;
-
-  EventQueue& queue() override { return queue_; }
-
-  std::uint64_t messages_sent() const override { return messages_sent_; }
-  std::uint64_t messages_delivered() const override {
-    return messages_delivered_;
-  }
-  std::uint64_t messages_dropped() const override { return messages_dropped_; }
-
-  // Driver-side (barrier phase): schedules a mailbox entry into this lane's
-  // queue. deliver_at is never in the past — see the epoch invariant.
-  void commit_remote(RemoteDelivery r);
-
-  std::uint64_t cross_shard_sent() const { return cross_shard_sent_; }
-
- private:
-  void deliver(HostId from, HostId to, std::uint32_t payload_slot) override;
-  std::uint32_t park(Message msg);
-  void dispatch_one(HostId from, HostId to, SimTime deliver_at, Message msg);
-
-  std::uint32_t lane_;
-  EventQueue& queue_;
-  LatencyModel& latency_;
-  const std::vector<std::uint32_t>* lane_of_ = nullptr;
-  const std::vector<std::uint32_t>* local_of_ = nullptr;
-  std::vector<SpscMailbox<RemoteDelivery>*> out_;
-
-  std::vector<Handler> handlers_;  // dense, lane-local index
-  // Deque slab, same invalidation contract as PooledTransport.
-  std::deque<Message> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t messages_delivered_ = 0;
-  std::uint64_t messages_dropped_ = 0;
-  std::uint64_t cross_shard_sent_ = 0;
-};
-
-// The Transport the Overlay sees. Registration assigns global ids and lane
-// homes; send routes to the owning lane's reliable decorator; decorator-
-// level fault hooks (the Overlay's drop filter) fire here — a drop is
-// "never sent", exactly as on the sequential ReliableTransport.
+// The Transport the Overlay sees when K > 1. Registration assigns global
+// ids and lane homes; send routes to the owning lane's reliable decorator;
+// decorator-level fault hooks (the Overlay's drop filter) fire here — a
+// drop is "never sent", exactly as on a single ReliableTransport.
 class ShardedTransport final : public Transport {
  public:
   explicit ShardedTransport(ShardedNet& net) : net_(net) {}
@@ -147,36 +81,40 @@ class ShardedTransport final : public Transport {
 };
 
 // Owns the lanes: queues, transports, reliable decorators, mailboxes, the
-// epoch driver, and the facade. The chaos runner and bench build on this.
+// epoch driver, and (K > 1) the facade. The chaos runner and the benches
+// build on this.
 class ShardedNet {
  public:
   struct Params {
     std::uint32_t lanes = 2;
-    // Epoch length; must be > 0 and <= latency.min_latency_ms().
-    // 0 = use latency.min_latency_ms().
-    double epoch_ms = 0.0;
     ReliabilityConfig rel;
-    std::size_t mailbox_capacity = 1024;
   };
 
   ShardedNet(const Params& params, LatencyModel& latency);
 
-  Transport& transport() { return facade_; }
+  // Lane 0's reliable decorator at K = 1, the routing facade otherwise.
+  Transport& transport() {
+    if (facade_) return *facade_;
+    return *rels_[0];
+  }
   ShardDriver& driver() { return *driver_; }
 
   std::uint32_t num_lanes() const {
     return static_cast<std::uint32_t>(queues_.size());
   }
+  // Epoch length: the latency model's min_latency_ms().
   double epoch_ms() const { return epoch_ms_; }
 
   // Lane assignment of a (future) global host id: a seeded hash, so lane
   // populations stay balanced for any join order.
   std::uint32_t shard_of(HostId h) const;
   // Lane of an already-registered endpoint.
-  std::uint32_t lane_of_host(HostId h) const { return lane_of_[h]; }
+  std::uint32_t lane_of_host(HostId h) const {
+    return facade_ ? lane_of_[h] : 0;
+  }
 
   EventQueue& lane_queue(std::uint32_t lane) { return *queues_[lane]; }
-  LaneTransport& lane_transport(std::uint32_t lane) {
+  SimTransport& lane_transport(std::uint32_t lane) {
     return *transports_[lane];
   }
   ReliableTransport& lane_rel(std::uint32_t lane) { return *rels_[lane]; }
@@ -196,17 +134,20 @@ class ShardedNet {
   friend class ShardedTransport;
 
   HostId register_endpoint(Transport::Handler handler);
+  // Lane `lane`'s remote-dispatch hook: takes copies bound for other lanes.
+  bool post_remote(std::uint32_t lane, HostId from, HostId to,
+                   SimTime deliver_at, Message& msg);
 
   std::uint64_t salt_;
   double epoch_ms_;
   std::vector<std::unique_ptr<EventQueue>> queues_;
-  std::vector<std::unique_ptr<LaneTransport>> transports_;
+  std::vector<std::unique_ptr<SimTransport>> transports_;
   std::vector<std::unique_ptr<ReliableTransport>> rels_;
   // mail_[src][dst]; diagonal unused.
   std::vector<std::vector<std::unique_ptr<SpscMailbox<RemoteDelivery>>>> mail_;
   std::vector<std::uint32_t> lane_of_;   // global host -> lane
   std::vector<std::uint32_t> local_of_;  // global host -> lane-local index
-  ShardedTransport facade_;
+  std::unique_ptr<ShardedTransport> facade_;  // null at K = 1
   std::unique_ptr<ShardDriver> driver_;
 };
 

@@ -4,15 +4,19 @@
 // interface: register an endpoint with a delivery handler, send a Message
 // from one endpoint to another. What "sending" means — latency-modelled
 // simulation, zero-latency loopback, eventually a real network backend — is
-// the implementation's business. Three implementations ship today:
+// the implementation's business. The implementations:
 //   - SimTransport (net/sim_transport.h): per-pair latencies from a
-//     LatencyModel, the semantics the templated SimNetwork established.
+//     LatencyModel, per-pair FIFO, ties by send order.
 //   - LoopbackTransport (net/loopback_transport.h): zero latency, for
 //     protocol-logic tests and micro-benchmarks.
 //   - ReliableTransport (net/reliable_transport.h): a decorator adding
 //     acks, retransmission and dedup on top of either, so the protocols
 //     get the reliable delivery they assume even when the inner transport
 //     is lossy (FaultPlan, net/fault_plan.h).
+//   - ShardedTransport (net/sharded_net.h): the routing facade over K > 1
+//     lanes of SimTransport + ReliableTransport. The simulation stack is
+//     ShardedNet; at K = 1 it hands out lane 0's ReliableTransport itself,
+//     so the single-queue stack is K = 1 of the sharded one.
 // The in-process transports guarantee per-pair FIFO delivery on a clean
 // network (delivery time is constant per ordered pair within a run and ties
 // break by send order); under injected faults only ReliableTransport's
@@ -47,8 +51,8 @@ class Transport : public FaultHooks<Message> {
   // Registers an endpoint under a caller-chosen global host id. The default
   // requires the id to coincide with the next dense index (so decorators
   // like ReliableTransport work unchanged over ordinary transports); the
-  // sharded lane transport overrides this to map a global id onto its own
-  // lane-local dense storage (net/sharded_net.h).
+  // lane modes of PooledTransport and ReliableTransport override this to
+  // map a global id onto lane-local dense storage (net/sharded_net.h).
   virtual HostId add_endpoint_as(HostId global, Handler handler) {
     HCUBE_CHECK_MSG(global == num_endpoints(),
                     "global id must be the next dense index here");

@@ -114,7 +114,7 @@ class EventQueue {
   std::uint64_t run_until(SimTime t_end);
 
   // Runs events with time strictly < t_end. Unlike run_until, the clock is
-  // NOT advanced past the last executed event: the sequential engine's
+  // NOT advanced past the last executed event: a single queue's
   // now() always reads "time of the thing currently/last happening", and
   // sharded lanes must preserve exactly that so sends issued outside event
   // execution (driver actions, barrier-phase protocol calls) compute the

@@ -1,7 +1,9 @@
 // Shared observation/fault-injection seam of every message-moving component.
 //
-// SimNetwork and the net/ transports used to carry their own copy-pasted
-// on_send / drop_filter plumbing; this template is that logic, written once.
+// Every net/ transport — the lanes of the one simulation stack
+// (net/sharded_net.h; K = 1 is the single-queue stack), its routing facade,
+// the reliable decorator and the loopback transport — shares this on_send /
+// drop_filter / fault_injector plumbing, written once here.
 // A component inherits FaultHooks<Msg> publicly (so `t.on_send = ...` and
 // `t.drop_filter = ...` keep working) and calls admit() at the top of its
 // send path: admit fires the observation hook, consults the drop filter,

@@ -20,20 +20,20 @@
 //   1. commit mailboxes (canonical order: for dst lane ascending, for src
 //      lane ascending, FIFO within the pair — i.e. (epoch, src_shard, seq)),
 //   2. run every driver action scheduled at exactly B, in scheduling order.
-// Driver actions are the sharded analogue of the sequential runner's
-// top-level closures (script steps, probes, heal markers); they run on the
-// driver thread, which impersonates lanes via LaneScope as needed. A second
-// commit pass before the next boundary selection picks up sends issued by
-// the actions themselves (their deliveries can be due before the boundary
-// the pending-event scan alone would choose).
+// Driver actions are a runner's top-level closures (the chaos engine's
+// script steps, probes, heal markers); they run on the driver thread, which
+// impersonates lanes via LaneScope as needed. A second commit pass before
+// the next boundary selection picks up sends issued by the actions
+// themselves (their deliveries can be due before the boundary the
+// pending-event scan alone would choose).
 //
 // Determinism: each lane's intra-epoch execution is sequential on one
 // thread; the commit order and action order at every barrier are canonical;
 // and no cross-lane communication happens outside barriers. Hence the
 // merged event sequence — and every digest derived from it — is a pure
 // function of the inputs, independent of K and of thread scheduling (the
-// differential-determinism tier in tests/sim/ proves this against the
-// sequential simulator). See DESIGN.md §16.
+// differential-determinism tier in tests/sim/ proves this against K = 1,
+// the single-queue run). See DESIGN.md §16.
 #pragma once
 
 #include <condition_variable>

@@ -122,5 +122,13 @@ TEST(IdTable, HandleShapeIsFixed) {
   EXPECT_EQ(a.csuf_len(b), 5u);
 }
 
+TEST(IdTable, RefBoundIsTheLevelCapacity) {
+  // 22 levels of 2^(10 + l) records: 2^32 - 2^10 refs, all below the
+  // invalid sentinel.
+  static_assert(IdTable::kMaxRefs == 4294966272ull);
+  static_assert(IdTable::kMaxRefs <= IdTable::kInvalidRef);
+  EXPECT_EQ(IdTable::kMaxRefs, (1ull << 32) - (1ull << 10));
+}
+
 }  // namespace
 }  // namespace hcube

@@ -111,6 +111,23 @@ TEST(SimTransport, DeliversWithModelLatencyAndFifo) {
   EXPECT_EQ(t.messages_delivered(), 20u);
 }
 
+TEST(SimTransport, SelfSendDeliversAtSameTimeLater) {
+  // Self-latency is zero, but the delivery still goes through the queue.
+  EventQueue q;
+  ConstantLatency latency(1, 9.0);
+  SimTransport t(q, latency);
+  const IdParams params{4, 4};
+  auto ids = make_ids(params, 1, 10);
+  bool delivered = false;
+  const HostId a =
+      t.add_endpoint([&](HostId, const Message&) { delivered = true; });
+  t.send(a, a, ping(ids[0]));
+  EXPECT_FALSE(delivered);
+  q.run();
+  EXPECT_TRUE(delivered);
+  EXPECT_DOUBLE_EQ(q.now(), 0.0);
+}
+
 TEST(PooledTransport, DropFilterAndOnSendHooks) {
   EventQueue q;
   LoopbackTransport t(q, 2);

@@ -5,7 +5,7 @@
 // outcome, every oracle verdict with its timestamp, and (for rate-step
 // scripts) the whole equilibrium ledger. The sharded driver's claim is that
 // this history is a pure function of the script, independent of the shard
-// count: K=1 executes the original sequential engine verbatim, and any
+// count: K=1 is the single-queue stack (one lane, no mailboxes), and any
 // K > 1 must reproduce its digest bit for bit, along with the identical
 // hcube.metrics.v1 JSON after the per-lane counter stripes merge.
 //
@@ -27,8 +27,11 @@
 
 #include "chaos/engine.h"
 #include "chaos/schedule.h"
+#include "net/sharded_net.h"
 #include "obs/collect.h"
 #include "obs/metrics.h"
+#include "topology/latency.h"
+#include "util/check.h"
 
 namespace hcube::chaos {
 namespace {
@@ -39,7 +42,7 @@ std::string metrics_json(const ChaosResult& result) {
   return reg.to_json();
 }
 
-// Runs the script at K = 1 (the sequential engine) and K in {2, 4, 8},
+// Runs the script at K = 1 (the single-queue stack) and K in {2, 4, 8},
 // asserting bit-identical digests, identical merged metrics JSON, and a
 // genuinely exercised cross-shard path.
 void expect_shard_invariant(ChurnScript script, const char* label) {
@@ -53,7 +56,7 @@ void expect_shard_invariant(ChurnScript script, const char* label) {
     const ChaosResult run = run_script(script);
     EXPECT_EQ(run.digest, ref.digest)
         << label << " K=" << k << ": got 0x" << std::hex << run.digest
-        << ", sequential 0x" << ref.digest;
+        << ", K=1 0x" << ref.digest;
     EXPECT_EQ(metrics_json(run), ref_json) << label << " K=" << k;
     EXPECT_EQ(run.shards, k) << label;
     EXPECT_GT(run.cross_shard_messages, 0u)
@@ -114,7 +117,7 @@ TEST(ShardDeterminism, EquilibriumRateWindowsWithSpike) {
 // scheduling must not leak into the result): two K=4 executions of one
 // script, same digest. This is weaker than the differential checks above
 // but fails with a clearer message when nondeterminism is *internal* to
-// the sharded engine rather than a divergence from the sequential one.
+// the sharded engine rather than a divergence from the single-lane one.
 TEST(ShardDeterminism, ShardedRunIsSelfReproducible) {
   const ChurnProfile* profile = find_profile("mixed");
   ASSERT_NE(profile, nullptr);
@@ -139,6 +142,59 @@ TEST(ShardDeterminism, ShardCountSerializes) {
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_EQ(parsed->config.shards, 4u);
   EXPECT_EQ(parsed->serialize(), text);
+}
+
+// The shard-count contract (chaos/schedule.h, `shards`): a K > 1 run
+// rejects the configurations whose semantics are single-queue —
+// probabilistic drop/duplicate streams and the degrade tier's mid-epoch
+// backlog reads — while K = 1 runs both.
+ChurnScript lossy_mixed() {
+  const ChurnProfile* profile = find_profile("mixed");
+  HCUBE_CHECK(profile != nullptr);
+  ChurnScript script = sample_script(4, *profile, 12);
+  script.config.drop = 0.01;
+  script.config.duplicate = 0.005;
+  return script;
+}
+
+TEST(ShardContract, ShardedRunRejectsProbabilisticLoss) {
+  ChurnScript script = lossy_mixed();
+  script.config.shards = 2;
+  EXPECT_DEATH(run_script(script), "drop = dup = 0");
+}
+
+TEST(ShardContract, ShardedRunRejectsDegradeTier) {
+  ChurnScript script = lossless(lossy_mixed());
+  script.config.degrade = 1;
+  script.config.shards = 2;
+  EXPECT_DEATH(run_script(script), "degrade");
+}
+
+TEST(ShardContract, SingleLaneRunsLossAndDegrade) {
+  ChurnScript script = lossy_mixed();
+  script.config.shards = 1;
+  const ChaosResult lossy = run_script(script);
+  EXPECT_TRUE(lossy.ok) << lossy.first_failure();
+  EXPECT_GT(lossy.faults_injected, 0u);
+  script.config.degrade = 1;
+  const ChaosResult degraded = run_script(script);
+  EXPECT_TRUE(degraded.ok) << degraded.first_failure();
+  EXPECT_EQ(degraded.shards, 1u);
+}
+
+// K = 1 is the plain stack: the Overlay talks to lane 0's reliable
+// decorator directly (callers find the ARQ layer by a dynamic_cast on the
+// overlay's transport); K > 1 puts the routing facade in front.
+TEST(ShardContract, SingleLaneNetHandsOutReliableTransport) {
+  SyntheticLatency latency(16, 5.0, 120.0, 1);
+  ShardedNet::Params params;
+  params.lanes = 1;
+  ShardedNet one(params, latency);
+  EXPECT_EQ(dynamic_cast<ReliableTransport*>(&one.transport()),
+            &one.lane_rel(0));
+  params.lanes = 2;
+  ShardedNet two(params, latency);
+  EXPECT_EQ(dynamic_cast<ReliableTransport*>(&two.transport()), nullptr);
 }
 
 }  // namespace
