@@ -1,9 +1,13 @@
-// Wire codec: round trips for all eleven message types, byte-exactness
-// against the size model, and rejection of malformed inputs.
+// Wire codec: round trips for all twenty message types, byte-exactness
+// against the size model, golden byte pins, and rejection of malformed
+// inputs.
 #include "proto/codec.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "message_corpus.h"
 #include "test_util.h"
 
 namespace hcube {
@@ -46,6 +50,81 @@ void expect_roundtrip(const Message& msg, const IdParams& params) {
   EXPECT_EQ(wire_size_bytes(*decoded, params), bytes.size());
   // Re-encoding the decoded message must be byte-identical.
   EXPECT_EQ(encode_message(*decoded, params), bytes);
+}
+
+// Golden pins: the length and FNV-1a-64 hash of one encoding of every
+// message type (the shared corpus), at a power-of-two base and at a
+// non-power-of-two one. Any change to the byte format fails here.
+struct Golden {
+  std::size_t size;
+  std::uint64_t fnv;
+};
+
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ull;
+  return h;
+}
+
+void expect_golden(const IdParams& params,
+                   const std::array<Golden, kNumMessageTypes>& pins) {
+  const std::vector<Message> all = corpus::one_of_each(params);
+  ASSERT_EQ(all.size(), pins.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const auto bytes = encode_message(all[i], params);
+    EXPECT_EQ(bytes.size(), pins[i].size) << type_name(type_of(all[i].body));
+    EXPECT_EQ(fnv1a64(bytes), pins[i].fnv) << type_name(type_of(all[i].body));
+  }
+}
+
+TEST(Codec, GoldenBytesHex8) {
+  expect_golden(kHex8, {{
+      {50, 0xff0a207c23bc7cfbull},  // CpRstMsg
+      {198, 0x3cf6c510fd82fe86ull},  // CpRlyMsg
+      {50, 0x47a50736afa54de9ull},  // JoinWaitMsg
+      {209, 0x3b50abd7b2b44c20ull},  // JoinWaitRlyMsg
+      {214, 0x8864c665d1db34daull},  // JoinNotiMsg
+      {200, 0x804391b62c672354ull},  // JoinNotiRlyMsg
+      {50, 0xcd3c71c2c4931635ull},  // InSysNotiMsg
+      {70, 0x75f69f86daeb1fccull},  // SpeNotiMsg
+      {70, 0xa3162bda95b4d4adull},  // SpeNotiRlyMsg
+      {51, 0xc4a9c4f01de225d8ull},  // RvNghNotiMsg
+      {51, 0xa09409161f626940ull},  // RvNghNotiRlyMsg
+      {198, 0x69cb86fcad698090ull},  // LeaveMsg
+      {50, 0xf307c706f133c16full},  // LeaveRlyMsg
+      {50, 0x25b18344fe9dcb94ull},  // NghDropMsg
+      {50, 0x91cfe2bbf43d2c0dull},  // PingMsg
+      {50, 0x16a6db8527119172ull},  // PongMsg
+      {52, 0x2f7a6ca961be9caaull},  // RepairQueryMsg
+      {63, 0x37892a9c9f117b57ull},  // RepairRlyMsg
+      {198, 0x6f9aeb5c4541ea47ull},  // AnnounceMsg
+      {54, 0x6d6033191cd218d7ull},  // RelAckMsg
+  }});
+}
+
+TEST(Codec, GoldenBytesTern6) {
+  expect_golden(kTern6, {{
+      {48, 0x2f221ce83bb7a26dull},  // CpRstMsg
+      {132, 0xfca67991cb865912ull},  // CpRlyMsg
+      {48, 0x21e0d0af8764a093ull},  // JoinWaitMsg
+      {141, 0xcb2831fad5a44646ull},  // JoinWaitRlyMsg
+      {135, 0x23fe0703eabdde54ull},  // JoinNotiMsg
+      {134, 0x7c5ac5e8d64e9ac8ull},  // JoinNotiRlyMsg
+      {48, 0x29d83718c02829bfull},  // InSysNotiMsg
+      {64, 0x2c24ea37f4a7fc6full},  // SpeNotiMsg
+      {64, 0x8b2be6e0e1395d1eull},  // SpeNotiRlyMsg
+      {49, 0x929fbad315a40032ull},  // RvNghNotiMsg
+      {49, 0x3579bfb4ae964e8eull},  // RvNghNotiRlyMsg
+      {132, 0x7d0fe81eff7f8254ull},  // LeaveMsg
+      {48, 0x248e51494498b111ull},  // LeaveRlyMsg
+      {48, 0xbbc9199ff913aab2ull},  // NghDropMsg
+      {48, 0x6c74bdb5ad82dce7ull},  // PingMsg
+      {48, 0x2beb51ecbc65b958ull},  // PongMsg
+      {50, 0xeb83bcf3ffc6df98ull},  // RepairQueryMsg
+      {59, 0xb578a9d6ed07214full},  // RepairRlyMsg
+      {132, 0xf3921887f83c9097ull},  // AnnounceMsg
+      {52, 0xb24ab86ac2e655ddull},  // RelAckMsg
+  }});
 }
 
 TEST(Codec, EmptyBodiedMessages) {

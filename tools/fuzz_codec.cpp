@@ -1,12 +1,13 @@
 // Wire-codec fuzz harness — one file, two builds:
 //
 //  * Plain driver (any compiler, built always): writes the seed corpus
-//    (one representative encoding per message type, the same shapes the
-//    codec-hardening tier-1 test pins) and replays a deterministic
-//    bit-flip smoke pass over it. Registered with ctest as
+//    (one representative encoding per message type, the shared
+//    tests/message_corpus.h shapes the codec tests pin) and replays a
+//    deterministic bit-flip smoke pass over it. Registered with ctest as
 //    fuzz_codec_smoke, so the totality contract — decode_message()
 //    returns nullopt on malformed input and never aborts, and every
-//    successful decode re-encodes — is exercised in every build.
+//    successful decode round-trips byte-stably — is exercised in every
+//    build.
 //
 //  * libFuzzer entry point (clang, -DHCUBE_FUZZERS=ON): the same
 //    decode -> re-encode probe under coverage-guided mutation with
@@ -22,7 +23,9 @@
 #include <vector>
 
 #include "ids/node_id.h"
+#include "message_corpus.h"
 #include "proto/codec.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace hcube {
@@ -33,72 +36,20 @@ namespace {
 const IdParams kFuzzParams{16, 8};
 
 // The probe: decode must be total, and a successful decode must yield a
-// structurally valid message that re-encodes without aborting.
+// structurally valid message whose encoding round-trips: the re-encoding
+// has the modelled size, decodes again, and re-encodes to the same bytes.
+// A field the writer emits but the reader skips (or the reverse) fails
+// here.
 void one_input(const std::uint8_t* data, std::size_t size) {
   const std::vector<std::uint8_t> bytes(data, data + size);
   const std::optional<Message> decoded = decode_message(bytes, kFuzzParams);
-  if (decoded.has_value()) (void)encode_message(*decoded, kFuzzParams);
-}
-
-TableSnapshot sample_snapshot(const IdParams& params, std::uint64_t seed) {
-  TableSnapshot snap;
-  UniqueIdGenerator gen(params, seed);
-  const NodeId owner = gen.next();
-  for (std::uint32_t i = 0; i < params.num_digits; ++i)
-    snap.add(static_cast<std::uint8_t>(i),
-             static_cast<std::uint8_t>(owner.digit(i)), owner,
-             NeighborState::kS);
-  for (int k = 0; k < 4; ++k) {
-    const NodeId other = gen.next();
-    const auto lvl = static_cast<std::uint8_t>(owner.csuf_len(other));
-    const auto dig = static_cast<std::uint8_t>(other.digit(lvl));
-    bool dup = false;
-    for (const auto& e : snap.entries)
-      if (e.level == lvl && e.digit == dig) dup = true;
-    if (!dup) snap.add(lvl, dig, other, NeighborState::kT);
-  }
-  return snap;
-}
-
-// One representative message per type — the same corpus shape the
-// codec-hardening test uses, so fuzzing starts from deep, valid inputs
-// instead of spending its budget rediscovering the header.
-std::vector<Message> seed_corpus(const IdParams& params) {
-  UniqueIdGenerator gen(params, 99);
-  const NodeId sender = gen.next();
-  const NodeId a = gen.next(), b = gen.next();
-  const TableSnapshot snap = sample_snapshot(params, 101);
-
-  JoinNotiMsg noti;
-  noti.table = snap;
-  noti.sender_noti_level = 2;
-  BitVec filled(params.num_digits * params.base);
-  filled.set(1);
-  filled.set(params.num_digits * params.base - 1);
-  noti.filled = filled;
-
-  std::vector<Message> all;
-  all.push_back({sender, CpRstMsg{}});
-  all.push_back({sender, CpRlyMsg{snap}});
-  all.push_back({sender, JoinWaitMsg{}});
-  all.push_back({sender, JoinWaitRlyMsg{true, a, snap}});
-  all.push_back({sender, noti});
-  all.push_back({sender, JoinNotiRlyMsg{true, snap, true}});
-  all.push_back({sender, InSysNotiMsg{}});
-  all.push_back({sender, SpeNotiMsg{a, b}});
-  all.push_back({sender, SpeNotiRlyMsg{a, b}});
-  all.push_back({sender, RvNghNotiMsg{NeighborState::kT}});
-  all.push_back({sender, RvNghNotiRlyMsg{NeighborState::kS}});
-  all.push_back({sender, LeaveMsg{snap}});
-  all.push_back({sender, LeaveRlyMsg{}});
-  all.push_back({sender, NghDropMsg{}});
-  all.push_back({sender, PingMsg{}});
-  all.push_back({sender, PongMsg{}});
-  all.push_back({sender, RepairQueryMsg{2, 5}});
-  all.push_back({sender, RepairRlyMsg{2, 5, a}});
-  all.push_back({sender, AnnounceMsg{snap}});
-  all.push_back({sender, RelAckMsg{12345}});
-  return all;
+  if (!decoded.has_value()) return;
+  const auto encoded = encode_message(*decoded, kFuzzParams);
+  HCUBE_CHECK(encoded.size() == wire_size_bytes(*decoded, kFuzzParams));
+  const std::optional<Message> again = decode_message(encoded, kFuzzParams);
+  HCUBE_CHECK_MSG(again.has_value(), "re-encoding does not decode");
+  HCUBE_CHECK_MSG(encode_message(*again, kFuzzParams) == encoded,
+                  "decode/encode round trip is not stable");
 }
 
 }  // namespace
@@ -120,7 +71,7 @@ namespace {
 int write_corpus(const std::string& dir) {
   std::filesystem::create_directories(dir);
   int written = 0;
-  for (const Message& msg : seed_corpus(kFuzzParams)) {
+  for (const Message& msg : corpus::one_of_each(kFuzzParams)) {
     const auto bytes = encode_message(msg, kFuzzParams);
     const std::string path =
         dir + "/msg_" + type_name(type_of(msg.body)) + ".bin";
@@ -142,7 +93,7 @@ int smoke(int trials_per_type) {
   // Deterministic: a fixed seed makes the ctest run bit-reproducible.
   Rng rng(20260808);
   std::size_t inputs = 0;
-  for (const Message& msg : seed_corpus(kFuzzParams)) {
+  for (const Message& msg : corpus::one_of_each(kFuzzParams)) {
     const auto bytes = encode_message(msg, kFuzzParams);
     // Every strict prefix must be rejected without aborting.
     for (std::size_t len = 0; len < bytes.size(); ++len) {
