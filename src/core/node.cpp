@@ -43,16 +43,6 @@ void Node::install_entry(std::uint32_t level, std::uint32_t digit,
   core_.table.set(level, digit, neighbor, NeighborState::kS);
 }
 
-void Node::finish_install() {
-  HCUBE_CHECK_MSG(!core_.started, "node already started");
-  core_.started = true;
-  for (std::uint32_t i = 0; i < core_.params.num_digits; ++i)
-    core_.table.set(i, core_.id.digit(i), core_.id, NeighborState::kS,
-                    core_.self_host);
-  core_.set_status(NodeStatus::kInSystem);
-  core_.stats.t_begin = core_.stats.t_end = core_.env.now();
-}
-
 void Node::install_reverse_neighbor(const NodeId& v) {
   core_.table.add_reverse_neighbor(v);
 }

@@ -69,7 +69,8 @@ class Node {
   }
 
   // Marks the node in_system after install_entry calls; fills own entries.
-  void finish_install();
+  // The same steps as become_seed(), which is the zero-entry case.
+  void finish_install() { become_seed(); }
 
   // Registers a reverse neighbor directly (used by NetworkBuilder so that
   // pre-built networks have complete reverse-neighbor sets).

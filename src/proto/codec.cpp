@@ -1,7 +1,9 @@
 #include "proto/codec.h"
 
+#include <array>
 #include <bit>
 #include <cstring>
+#include <utility>
 
 #include "util/check.h"
 
@@ -19,17 +21,65 @@ constexpr std::size_t kOffRelSeq = 8;
 constexpr std::size_t kOffGen = 12;
 constexpr std::uint8_t kFlagHasBitvec = 0x01;
 
-std::uint32_t read_u32_at(const std::vector<std::uint8_t>& bytes,
-                          std::size_t off) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(bytes[off + i]) << (8 * i);
-  return v;
+std::size_t bitmap_bits(const IdParams& params) {
+  return static_cast<std::size_t>(params.num_digits) * params.base;
 }
+
+unsigned bits_per_digit(const IdParams& params) {
+  return static_cast<unsigned>(std::bit_width(params.base - 1));
+}
+
+// ---- The walker: every size, write and read goes through here ----
+
+template <class Op, class Body, class T, class V>
+void visit_field(Op& op, Body& body, V T::*member) {
+  op(body.*member);
+}
+
+template <class Op, class Body, class Kind, class T, class V>
+void visit_field(Op& op, Body& body, const wire::Field<Kind, T, V>& field) {
+  op(Kind{}, body.*field.member);
+}
+
+// Applies `op` to each kWire entry of `body` in wire order. Body is const
+// when sizing or writing and mutable when reading.
+template <class Op, class Body>
+void walk(Op& op, Body& body) {
+  using T = std::remove_const_t<Body>;
+  if constexpr (!std::is_empty_v<T>) {
+    std::apply(
+        [&](const auto&... field) { (visit_field(op, body, field), ...); },
+        T::kWire);
+  }
+}
+
+struct Sizer {
+  const IdParams& params;
+  std::size_t ref;  // node_ref_wire_bytes(params)
+  std::size_t bytes;
+
+  void operator()(bool) { bytes += 1; }
+  void operator()(NeighborState) { bytes += 1; }
+  void operator()(std::uint32_t) { bytes += 4; }
+  void operator()(const NodeId&) { bytes += ref; }
+  void operator()(const TableSnapshot& snap) {
+    bytes += snapshot_wire_bytes(snap, params);
+  }
+  void operator()(const std::optional<BitVec>& bits) {
+    if (bits) bytes += bits->size_bytes();
+  }
+  void operator()(wire::Level, std::uint8_t) { bytes += 1; }
+  void operator()(wire::Digit, std::uint8_t) { bytes += 1; }
+  void operator()(wire::HeaderAux, std::uint8_t) {}
+  void operator()(wire::MaybeRef, const NodeId& id) {
+    bytes += 1 + (id.is_valid() ? ref : 0);
+  }
+};
 
 class Writer {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
+  Writer(std::vector<std::uint8_t>& out, const IdParams& params)
+      : out_(out), params_(params) {}
 
   void u8(std::uint8_t v) { out_.push_back(v); }
   void u16(std::uint16_t v) {
@@ -42,6 +92,57 @@ class Writer {
   }
   void zeros(std::size_t n) { out_.insert(out_.end(), n, 0); }
 
+  void node_ref(const NodeId& id, const WireAddress& addr = {}) {
+    HCUBE_CHECK_MSG(id.is_valid(), "cannot encode an invalid node ID");
+    const unsigned bpd = bits_per_digit(params_);
+    for (std::size_t i = 0; i < params_.num_digits; ++i)
+      bits(id.digit(i), bpd);
+    align_byte();
+    // Writer::bits emitted exactly the model's ceil(d * bpd / 8) bytes.
+    u32(addr.ipv4);
+    u16(addr.port);
+  }
+
+  // ---- kWire fields ----
+
+  void operator()(bool v) { u8(v ? 1 : 0); }
+  void operator()(NeighborState s) { u8(s == NeighborState::kS ? 1 : 0); }
+  void operator()(std::uint32_t v) { u32(v); }
+  void operator()(const NodeId& id) { node_ref(id); }
+  void operator()(const TableSnapshot& snap) {
+    // Presence bitmap, level-major, then the entries in bitmap order.
+    const std::size_t nbits = bitmap_bits(params_);
+    BitVec bitmap(nbits);
+    std::vector<const SnapshotEntry*> ordered(nbits, nullptr);
+    for (const SnapshotEntry& e : snap.entries) {
+      HCUBE_CHECK(e.level < params_.num_digits && e.digit < params_.base);
+      const std::size_t bit =
+          static_cast<std::size_t>(e.level) * params_.base + e.digit;
+      HCUBE_CHECK_MSG(!bitmap.get(bit), "duplicate snapshot entry");
+      bitmap.set(bit);
+      ordered[bit] = &e;
+    }
+    bitvec(bitmap);
+    for (const SnapshotEntry* e : ordered) {
+      if (e == nullptr) continue;
+      node_ref(e->node);
+      (*this)(e->state);
+    }
+  }
+  void operator()(const std::optional<BitVec>& bits) {
+    if (!bits) return;
+    out_[kOffFlags] |= kFlagHasBitvec;
+    bitvec(*bits);
+  }
+  void operator()(wire::Level, std::uint8_t v) { u8(v); }
+  void operator()(wire::Digit, std::uint8_t v) { u8(v); }
+  void operator()(wire::HeaderAux, std::uint8_t v) { out_[kOffAux] = v; }
+  void operator()(wire::MaybeRef, const NodeId& id) {
+    (*this)(id.is_valid());
+    if (id.is_valid()) node_ref(id);
+  }
+
+ private:
   // Packs `nbits` of v at the current bit cursor (little-endian bit order).
   void bits(std::uint32_t v, unsigned nbits) {
     for (unsigned i = 0; i < nbits; ++i) {
@@ -51,22 +152,31 @@ class Writer {
     }
   }
   void align_byte() { bit_pos_ = 0; }
+  void bitvec(const BitVec& v) {
+    for (std::size_t i = 0; i < v.size(); ++i) bits(v.get(i) ? 1 : 0, 1);
+    align_byte();
+  }
 
- private:
   std::vector<std::uint8_t>& out_;
+  const IdParams& params_;
   unsigned bit_pos_ = 0;
 };
 
+// Reads past the header. Any malformed field clears ok(); later reads on a
+// failed reader are harmless and the caller rejects the message.
 class Reader {
  public:
-  Reader(const std::vector<std::uint8_t>& in, std::size_t pos)
-      : in_(in), pos_(pos) {}
+  Reader(const std::vector<std::uint8_t>& in, const IdParams& params)
+      : in_(in), params_(params) {}
 
   bool ok() const { return ok_; }
   std::size_t pos() const { return pos_; }
 
   std::uint8_t u8() {
-    if (pos_ >= in_.size()) return fail_u8();
+    if (pos_ >= in_.size()) {
+      ok_ = false;
+      return 0;
+    }
     return in_[pos_++];
   }
   std::uint16_t u16() {
@@ -75,18 +185,78 @@ class Reader {
   }
   std::uint32_t u32() {
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
+    for (int i = 0; i < 4; ++i)
+      v |= static_cast<std::uint32_t>(u8()) << (8 * i);
     return v;
   }
-  void skip(std::size_t n) {
-    if (pos_ + n > in_.size()) {
-      ok_ = false;
-      pos_ = in_.size();
-    } else {
-      pos_ += n;
+
+  std::optional<NodeId> node_ref() {
+    const unsigned bpd = bits_per_digit(params_);
+    std::vector<Digit> digits(params_.num_digits);
+    for (auto& d : digits) {
+      const std::uint32_t v = bits(bpd);
+      if (!ok_ || v >= params_.base) return std::nullopt;
+      d = static_cast<Digit>(v);
     }
+    align_byte();
+    u32();  // address (opaque here)
+    u16();  // port
+    if (!ok_) return std::nullopt;
+    return NodeId(std::move(digits), params_);
   }
 
+  // ---- kWire fields ----
+
+  void operator()(bool& v) { v = below(2) != 0; }
+  void operator()(NeighborState& s) {
+    s = below(2) ? NeighborState::kS : NeighborState::kT;
+  }
+  void operator()(std::uint32_t& v) { v = u32(); }
+  void operator()(NodeId& id) {
+    auto ref = node_ref();
+    if (ref)
+      id = std::move(*ref);
+    else
+      ok_ = false;
+  }
+  void operator()(TableSnapshot& snap) {
+    const BitVec bitmap = bitvec(bitmap_bits(params_));
+    for (std::size_t i = 0; ok_ && i < bitmap.size(); ++i) {
+      if (!bitmap.get(i)) continue;
+      const auto level = static_cast<std::uint8_t>(i / params_.base);
+      const auto digit = static_cast<std::uint8_t>(i % params_.base);
+      NodeId node;
+      NeighborState state = NeighborState::kT;
+      (*this)(node);
+      (*this)(state);
+      // The entry must respect the bitmap slot's digit.
+      if (!ok_ || node.digit(level) != digit) {
+        ok_ = false;
+        return;
+      }
+      snap.add(level, digit, std::move(node), state);
+    }
+  }
+  void operator()(std::optional<BitVec>& bits) {
+    if (in_[kOffFlags] & kFlagHasBitvec) bits = bitvec(bitmap_bits(params_));
+  }
+  void operator()(wire::Level, std::uint8_t& v) {
+    v = below(params_.num_digits);
+  }
+  void operator()(wire::Digit, std::uint8_t& v) { v = below(params_.base); }
+  void operator()(wire::HeaderAux, std::uint8_t& v) { v = in_[kOffAux]; }
+  void operator()(wire::MaybeRef, NodeId& id) {
+    bool present = false;
+    (*this)(present);
+    if (present) (*this)(id);
+  }
+
+ private:
+  std::uint8_t below(std::uint32_t limit) {
+    const std::uint8_t v = u8();
+    if (v >= limit) ok_ = false;
+    return v;
+  }
   std::uint32_t bits(unsigned nbits) {
     std::uint32_t v = 0;
     for (unsigned i = 0; i < nbits; ++i) {
@@ -103,187 +273,97 @@ class Reader {
     return v;
   }
   void align_byte() { bit_pos_ = 0; }
-
- private:
-  std::uint8_t fail_u8() {
-    ok_ = false;
-    return 0;
+  BitVec bitvec(std::size_t nbits) {
+    BitVec v(nbits);
+    for (std::size_t i = 0; i < nbits; ++i)
+      if (bits(1)) v.set(i);
+    align_byte();
+    return v;
   }
+
   const std::vector<std::uint8_t>& in_;
-  std::size_t pos_;
+  const IdParams& params_;
+  std::size_t pos_ = kHeaderBytes;
   bool ok_ = true;
   unsigned bit_pos_ = 0;
   std::uint8_t cur_ = 0;
 };
 
-unsigned bits_per_digit(const IdParams& params) {
-  return static_cast<unsigned>(std::bit_width(params.base - 1));
+template <class Body>
+void read_body(Reader& r, MessageBody& out) {
+  Body body{};
+  walk(r, body);
+  out = std::move(body);
 }
 
-void write_node_ref(Writer& w, const NodeId& id, const IdParams& params,
-                    const WireAddress& addr) {
-  HCUBE_CHECK_MSG(id.is_valid(), "cannot encode an invalid node ID");
-  const unsigned bpd = bits_per_digit(params);
-  for (std::size_t i = 0; i < params.num_digits; ++i) w.bits(id.digit(i), bpd);
-  w.align_byte();
-  // Pad to the model's ceil(d * bpd / 8): Writer::bits already emitted
-  // exactly that many bytes.
-  w.u32(addr.ipv4);
-  w.u16(addr.port);
+// Indexed by the header's type byte (= the MessageBody index).
+using BodyReader = void (*)(Reader&, MessageBody&);
+
+template <std::size_t... I>
+constexpr std::array<BodyReader, sizeof...(I)> body_readers(
+    std::index_sequence<I...>) {
+  return {&read_body<std::variant_alternative_t<I, MessageBody>>...};
 }
 
-std::optional<NodeId> read_node_ref(Reader& r, const IdParams& params) {
-  const unsigned bpd = bits_per_digit(params);
-  std::vector<Digit> digits(params.num_digits);
-  for (auto& d : digits) {
-    const std::uint32_t v = r.bits(bpd);
-    if (!r.ok() || v >= params.base) return std::nullopt;
-    d = static_cast<Digit>(v);
-  }
-  r.align_byte();
-  r.u32();  // address (opaque here)
-  r.u16();  // port
-  if (!r.ok()) return std::nullopt;
-  return NodeId(std::move(digits), params);
-}
+constexpr auto kBodyReaders =
+    body_readers(std::make_index_sequence<kNumMessageTypes>{});
 
-void write_snapshot(Writer& w, const TableSnapshot& snap,
-                    const IdParams& params) {
-  // Presence bitmap, level-major.
-  const std::size_t nbits =
-      static_cast<std::size_t>(params.num_digits) * params.base;
-  BitVec bitmap(nbits);
-  for (const SnapshotEntry& e : snap.entries) {
-    HCUBE_CHECK(e.level < params.num_digits && e.digit < params.base);
-    const std::size_t bit =
-        static_cast<std::size_t>(e.level) * params.base + e.digit;
-    HCUBE_CHECK_MSG(!bitmap.get(bit), "duplicate snapshot entry");
-    bitmap.set(bit);
-  }
-  for (std::size_t i = 0; i < nbits; ++i) w.bits(bitmap.get(i) ? 1 : 0, 1);
-  w.align_byte();
-  // Entries in bitmap order.
-  std::vector<const SnapshotEntry*> ordered(nbits, nullptr);
-  for (const SnapshotEntry& e : snap.entries)
-    ordered[static_cast<std::size_t>(e.level) * params.base + e.digit] = &e;
-  for (const SnapshotEntry* e : ordered) {
-    if (e == nullptr) continue;
-    write_node_ref(w, e->node, params, {});
-    w.u8(e->state == NeighborState::kS ? 1 : 0);
-  }
-}
-
-std::optional<TableSnapshot> read_snapshot(Reader& r, const IdParams& params) {
-  const std::size_t nbits =
-      static_cast<std::size_t>(params.num_digits) * params.base;
-  BitVec bitmap(nbits);
-  for (std::size_t i = 0; i < nbits; ++i)
-    if (r.bits(1)) bitmap.set(i);
-  r.align_byte();
-  if (!r.ok()) return std::nullopt;
-
-  TableSnapshot snap;
-  for (std::size_t i = 0; i < nbits; ++i) {
-    if (!bitmap.get(i)) continue;
-    auto node = read_node_ref(r, params);
-    const std::uint8_t state = r.u8();
-    if (!node || !r.ok() || state > 1) return std::nullopt;
-    const auto level = static_cast<std::uint8_t>(i / params.base);
-    const auto digit = static_cast<std::uint8_t>(i % params.base);
-    // The entry must respect the bitmap slot's digit.
-    if (node->digit(level) != digit) return std::nullopt;
-    snap.add(level, digit, std::move(*node),
-             state ? NeighborState::kS : NeighborState::kT);
-  }
-  return snap;
-}
-
-void write_bitvec(Writer& w, const BitVec& bits) {
-  for (std::size_t i = 0; i < bits.size(); ++i) w.bits(bits.get(i) ? 1 : 0, 1);
-  w.align_byte();
-}
-
-BitVec read_bitvec(Reader& r, std::size_t nbits) {
-  BitVec bits(nbits);
-  for (std::size_t i = 0; i < nbits; ++i)
-    if (r.bits(1)) bits.set(i);
-  r.align_byte();
-  return bits;
+std::uint32_t read_u32_at(const std::vector<std::uint8_t>& bytes,
+                          std::size_t off) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i)
+    v |= static_cast<std::uint32_t>(bytes[off + i]) << (8 * i);
+  return v;
 }
 
 }  // namespace
 
+std::size_t id_wire_bytes(const IdParams& params) {
+  return (params.num_digits * bits_per_digit(params) + 7) / 8;
+}
+
+std::size_t node_ref_wire_bytes(const IdParams& params) {
+  return id_wire_bytes(params) + 6;  // IPv4 address + port
+}
+
+std::size_t snapshot_wire_bytes(const TableSnapshot& snap,
+                                const IdParams& params) {
+  const std::size_t bitmap_bytes = (bitmap_bits(params) + 7) / 8;
+  return bitmap_bytes + snap.size() * (node_ref_wire_bytes(params) + 1);
+}
+
+std::size_t wire_size_bytes(const Message& msg, const IdParams& params) {
+  return wire_size_bytes(msg.body, params);
+}
+
+std::size_t wire_size_bytes(const MessageBody& body, const IdParams& params) {
+  const std::size_t ref = node_ref_wire_bytes(params);
+  Sizer sizer{params, ref, kHeaderBytes + ref};  // envelope: sender ref
+  std::visit([&](const auto& b) { walk(sizer, b); }, body);
+  return sizer.bytes;
+}
+
 std::vector<std::uint8_t> encode_message(const Message& msg,
                                          const IdParams& params,
                                          const WireAddress& sender_addr) {
+  const std::size_t size = wire_size_bytes(msg, params);
   std::vector<std::uint8_t> out;
-  out.reserve(wire_size_bytes(msg, params));
-  Writer w(out);
+  out.reserve(size);
+  Writer w(out, params);
 
-  // Header.
   for (std::uint8_t c : kMagic) w.u8(c);
   w.u8(kVersion);
-  const MessageType type = type_of(msg.body);
-  w.u8(static_cast<std::uint8_t>(type));
-  std::uint8_t aux = 0, flags = 0;
-  if (const auto* jn = std::get_if<JoinNotiMsg>(&msg.body)) {
-    aux = jn->sender_noti_level;
-    if (jn->filled.has_value()) flags |= kFlagHasBitvec;
-  }
-  w.u8(aux);
-  w.u8(flags);
+  w.u8(static_cast<std::uint8_t>(type_of(msg.body)));
+  w.u8(0);  // aux and flags: filled in by the body's fields
+  w.u8(0);
   w.u32(msg.rel_seq);
   w.u32(msg.gen);
   w.zeros(kHeaderBytes - 16);
 
-  write_node_ref(w, msg.sender, params, sender_addr);
+  w.node_ref(msg.sender, sender_addr);
+  std::visit([&](const auto& body) { walk(w, body); }, msg.body);
 
-  std::visit(
-      [&](const auto& body) {
-        using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, CpRlyMsg>) {
-          write_snapshot(w, body.table, params);
-        } else if constexpr (std::is_same_v<T, JoinWaitRlyMsg>) {
-          w.u8(body.positive ? 1 : 0);
-          write_node_ref(w, body.u, params, {});
-          write_snapshot(w, body.table, params);
-        } else if constexpr (std::is_same_v<T, JoinNotiMsg>) {
-          write_snapshot(w, body.table, params);
-          if (body.filled.has_value()) write_bitvec(w, *body.filled);
-        } else if constexpr (std::is_same_v<T, JoinNotiRlyMsg>) {
-          w.u8(body.positive ? 1 : 0);
-          w.u8(body.flag ? 1 : 0);
-          write_snapshot(w, body.table, params);
-        } else if constexpr (std::is_same_v<T, SpeNotiMsg> ||
-                             std::is_same_v<T, SpeNotiRlyMsg>) {
-          write_node_ref(w, body.x, params, {});
-          write_node_ref(w, body.y, params, {});
-        } else if constexpr (std::is_same_v<T, RvNghNotiMsg>) {
-          w.u8(body.recorded_state == NeighborState::kS ? 1 : 0);
-        } else if constexpr (std::is_same_v<T, RvNghNotiRlyMsg>) {
-          w.u8(body.actual_state == NeighborState::kS ? 1 : 0);
-        } else if constexpr (std::is_same_v<T, LeaveMsg>) {
-          write_snapshot(w, body.candidates, params);
-        } else if constexpr (std::is_same_v<T, RepairQueryMsg>) {
-          w.u8(body.level);
-          w.u8(body.digit);
-        } else if constexpr (std::is_same_v<T, RepairRlyMsg>) {
-          w.u8(body.level);
-          w.u8(body.digit);
-          w.u8(body.candidate.is_valid() ? 1 : 0);
-          if (body.candidate.is_valid())
-            write_node_ref(w, body.candidate, params, {});
-        } else if constexpr (std::is_same_v<T, AnnounceMsg>) {
-          write_snapshot(w, body.table, params);
-        } else if constexpr (std::is_same_v<T, RelAckMsg>) {
-          w.u32(body.acked_seq);
-        }
-        // CpRstMsg, JoinWaitMsg, InSysNotiMsg: empty bodies.
-      },
-      msg.body);
-
-  HCUBE_CHECK_MSG(out.size() == wire_size_bytes(msg, params),
-                  "codec and size model disagree");
+  HCUBE_CHECK_MSG(out.size() == size, "codec and size model disagree");
   return out;
 }
 
@@ -294,140 +374,16 @@ std::optional<Message> decode_message(const std::vector<std::uint8_t>& bytes,
   if (bytes[4] != kVersion) return std::nullopt;
   const std::uint8_t type = bytes[kOffType];
   if (type >= kNumMessageTypes) return std::nullopt;
-  const std::uint8_t aux = bytes[kOffAux];
-  const std::uint8_t flags = bytes[kOffFlags];
 
-  Reader r(bytes, kHeaderBytes);
-  auto sender = read_node_ref(r, params);
+  Reader r(bytes, params);
+  auto sender = r.node_ref();
   if (!sender) return std::nullopt;
 
   Message msg;
   msg.sender = std::move(*sender);
   msg.rel_seq = read_u32_at(bytes, kOffRelSeq);
   msg.gen = read_u32_at(bytes, kOffGen);
-
-  switch (static_cast<MessageType>(type)) {
-    case MessageType::kCpRst:
-      msg.body = CpRstMsg{};
-      break;
-    case MessageType::kCpRly: {
-      auto snap = read_snapshot(r, params);
-      if (!snap) return std::nullopt;
-      msg.body = CpRlyMsg{std::move(*snap)};
-      break;
-    }
-    case MessageType::kJoinWait:
-      msg.body = JoinWaitMsg{};
-      break;
-    case MessageType::kJoinWaitRly: {
-      const std::uint8_t positive = r.u8();
-      auto u = read_node_ref(r, params);
-      auto snap = read_snapshot(r, params);
-      if (!r.ok() || positive > 1 || !u || !snap) return std::nullopt;
-      msg.body = JoinWaitRlyMsg{positive != 0, std::move(*u),
-                                std::move(*snap)};
-      break;
-    }
-    case MessageType::kJoinNoti: {
-      auto snap = read_snapshot(r, params);
-      if (!snap) return std::nullopt;
-      JoinNotiMsg body;
-      body.table = std::move(*snap);
-      body.sender_noti_level = aux;
-      if (flags & kFlagHasBitvec) {
-        body.filled = read_bitvec(
-            r, static_cast<std::size_t>(params.num_digits) * params.base);
-        if (!r.ok()) return std::nullopt;
-      }
-      msg.body = std::move(body);
-      break;
-    }
-    case MessageType::kJoinNotiRly: {
-      const std::uint8_t positive = r.u8();
-      const std::uint8_t flag = r.u8();
-      auto snap = read_snapshot(r, params);
-      if (!r.ok() || positive > 1 || flag > 1 || !snap) return std::nullopt;
-      msg.body = JoinNotiRlyMsg{positive != 0, std::move(*snap), flag != 0};
-      break;
-    }
-    case MessageType::kInSysNoti:
-      msg.body = InSysNotiMsg{};
-      break;
-    case MessageType::kSpeNoti:
-    case MessageType::kSpeNotiRly: {
-      auto x = read_node_ref(r, params);
-      auto y = read_node_ref(r, params);
-      if (!x || !y) return std::nullopt;
-      if (static_cast<MessageType>(type) == MessageType::kSpeNoti)
-        msg.body = SpeNotiMsg{std::move(*x), std::move(*y)};
-      else
-        msg.body = SpeNotiRlyMsg{std::move(*x), std::move(*y)};
-      break;
-    }
-    case MessageType::kRvNghNoti: {
-      const std::uint8_t s = r.u8();
-      if (!r.ok() || s > 1) return std::nullopt;
-      msg.body = RvNghNotiMsg{s ? NeighborState::kS : NeighborState::kT};
-      break;
-    }
-    case MessageType::kRvNghNotiRly: {
-      const std::uint8_t s = r.u8();
-      if (!r.ok() || s > 1) return std::nullopt;
-      msg.body = RvNghNotiRlyMsg{s ? NeighborState::kS : NeighborState::kT};
-      break;
-    }
-    case MessageType::kLeave: {
-      auto snap = read_snapshot(r, params);
-      if (!snap) return std::nullopt;
-      msg.body = LeaveMsg{std::move(*snap)};
-      break;
-    }
-    case MessageType::kLeaveRly:
-      msg.body = LeaveRlyMsg{};
-      break;
-    case MessageType::kNghDrop:
-      msg.body = NghDropMsg{};
-      break;
-    case MessageType::kPing:
-      msg.body = PingMsg{};
-      break;
-    case MessageType::kPong:
-      msg.body = PongMsg{};
-      break;
-    case MessageType::kRepairQuery: {
-      const std::uint8_t level = r.u8();
-      const std::uint8_t digit = r.u8();
-      if (!r.ok() || level >= params.num_digits || digit >= params.base)
-        return std::nullopt;
-      msg.body = RepairQueryMsg{level, digit};
-      break;
-    }
-    case MessageType::kRepairRly: {
-      RepairRlyMsg body;
-      body.level = r.u8();
-      body.digit = r.u8();
-      const std::uint8_t has = r.u8();
-      if (!r.ok() || has > 1 || body.level >= params.num_digits ||
-          body.digit >= params.base)
-        return std::nullopt;
-      if (has) {
-        auto c = read_node_ref(r, params);
-        if (!c) return std::nullopt;
-        body.candidate = std::move(*c);
-      }
-      msg.body = std::move(body);
-      break;
-    }
-    case MessageType::kAnnounce: {
-      auto snap = read_snapshot(r, params);
-      if (!snap) return std::nullopt;
-      msg.body = AnnounceMsg{std::move(*snap)};
-      break;
-    }
-    case MessageType::kRelAck:
-      msg.body = RelAckMsg{r.u32()};
-      break;
-  }
+  kBodyReaders[type](r, msg.body);
   if (!r.ok()) return std::nullopt;
   if (r.pos() != bytes.size()) return std::nullopt;  // trailing garbage
   return msg;

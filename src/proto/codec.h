@@ -1,10 +1,10 @@
 // Wire codec for protocol messages.
 //
 // The simulator passes Message objects by value, but a real deployment
-// ships bytes; this codec defines the byte format and guarantees that
-// encode() produces exactly wire_size_bytes(msg, params) bytes — the size
-// model used throughout the benchmarks is therefore not an estimate but
-// the definition of the format.
+// ships bytes; this codec defines the byte format. wire_size_bytes(),
+// encode_message() and decode_message() are one walk over each body's
+// kWire field list (messages.h), so the size model used throughout the
+// benchmarks is not an estimate but the definition of the format.
 //
 // Layout (all integers little-endian):
 //   header (40 bytes):
@@ -14,7 +14,7 @@
 //     reserved (24)  — stands in for the IP/UDP overhead the paper's
 //                      size analysis includes in a "big message"
 //   sender node-ref
-//   body (per message type; see messages.h size model)
+//   body: the type's kWire fields, in order (see messages.h)
 //
 // A node-ref is the ID's digits packed at ceil(log2 b) bits per digit
 // (digit 0 first), followed by an IPv4 address (4) and port (2). A table
@@ -22,9 +22,9 @@
 // order followed by (node-ref, state byte) pairs for each set bit, in
 // bitmap order.
 //
-// The aux header byte carries JoinNotiMsg's sender_noti_level (0
-// otherwise); flags bit 0 marks the presence of the optional §6.2 bit
-// vector.
+// The aux header byte carries a wire::HeaderAux field (JoinNotiMsg's
+// sender_noti_level; 0 otherwise); flags bit 0 marks the presence of an
+// optional bit vector (JoinNotiMsg's §6.2 filled-entry vector).
 #pragma once
 
 #include <cstdint>

@@ -28,14 +28,14 @@
 // dispatch: an undeclared (status, type) pair is rejected — dropped and
 // counted in ConformanceStats — never handled.
 //
-// tools/hclint enforces the cross-file half of the contract (codec switch
-// coverage, type_name arms, NodeStatus to_string arms) that the compiler
-// cannot see; see DESIGN.md §10.
+// The rest of the per-type surface needs no registry: the codec derives
+// every size, write and read from each body's kWire list (messages.h), and
+// type_name()/to_string() are enum switches that -Werror=switch keeps
+// exhaustive.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <variant>
 
 #include "util/metric.h"
 #include "proto/messages.h"
@@ -174,8 +174,6 @@ constexpr bool conformance_allows(NodeStatus s, MessageType t) {
 
 static_assert(kConformance.size() == kNumMessageTypes,
               "conformance registry must cover every MessageType");
-static_assert(std::variant_size_v<MessageBody> == kNumMessageTypes,
-              "MessageBody variant and MessageType enum must stay in sync");
 
 namespace conformance_detail {
 

@@ -8,12 +8,30 @@
 // Messages that carry a neighbor table carry a TableSnapshot: the list of
 // non-null entries at the sender at send time. Section 6.2's size
 // reductions (partial levels, bit-vector-pruned replies) shrink what the
-// sender includes; wire_size_bytes() models the resulting message sizes.
+// sender includes; wire_size_bytes() gives the resulting message sizes.
+//
+// Every message body with fields lists them once, in wire order, as its
+// kWire tuple. The codec (proto/codec.cpp) walks that one list to size,
+// write and read the message, so the size model, the encoder and the
+// decoder cannot disagree. A listed member travels by its type:
+//   bool, NeighborState    one byte, 0 or 1 (decode rejects anything else)
+//   NodeId                 a node reference (encode requires a valid ID)
+//   TableSnapshot          presence bitmap, then (ref, state) per entry
+//   std::uint32_t          four bytes
+//   std::optional<BitVec>  d*b bits when present, flagged in the header
+// unless it is wrapped by wire::as<Kind>:
+//   wire::Level, Digit     one byte, decode requires < d resp. < b
+//   wire::HeaderAux        the header's aux byte; no body bytes
+//   wire::MaybeRef         a NodeId that may be invalid: a presence byte,
+//                          then the reference when valid
+// Empty bodies need no list.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -44,12 +62,33 @@ struct TableSnapshot {
   std::size_t size() const { return entries.size(); }
 };
 
+namespace wire {
+
+struct Level {};
+struct Digit {};
+struct HeaderAux {};
+struct MaybeRef {};
+
+// A kWire entry whose member travels as Kind rather than by its type.
+template <class Kind, class Body, class V>
+struct Field {
+  V Body::*member;
+};
+
+template <class Kind, class Body, class V>
+constexpr Field<Kind, Body, V> as(V Body::*member) {
+  return {member};
+}
+
+}  // namespace wire
+
 // ---- Message bodies (names follow Figure 4) ----
 
 struct CpRstMsg {};  // request a copy of the receiver's table
 
 struct CpRlyMsg {  // reply with the table
   TableSnapshot table;
+  static constexpr std::tuple kWire{&CpRlyMsg::table};
 };
 
 struct JoinWaitMsg {};  // "x is waiting to be stored in your table"
@@ -58,6 +97,9 @@ struct JoinWaitRlyMsg {
   bool positive;  // r in the paper: positive = receiver stored the sender
   NodeId u;       // on negative: the node already occupying the entry
   TableSnapshot table;
+  static constexpr std::tuple kWire{&JoinWaitRlyMsg::positive,
+                                    &JoinWaitRlyMsg::u,
+                                    &JoinWaitRlyMsg::table};
 };
 
 struct JoinNotiMsg {
@@ -69,12 +111,18 @@ struct JoinNotiMsg {
   // §6.2 enhancement: bit vector of x's filled entries ('1' = filled), so
   // the receiver can prune its reply. Not sent in the baseline policy.
   std::optional<BitVec> filled;
+  static constexpr std::tuple kWire{
+      wire::as<wire::HeaderAux>(&JoinNotiMsg::sender_noti_level),
+      &JoinNotiMsg::table, &JoinNotiMsg::filled};
 };
 
 struct JoinNotiRlyMsg {
   bool positive;        // r: receiver stores (or already stored) the sender
   TableSnapshot table;  // y.table (possibly pruned by the bit vector)
   bool flag;            // f: triggers SpeNotiMsg (see Figure 10)
+  static constexpr std::tuple kWire{&JoinNotiRlyMsg::positive,
+                                    &JoinNotiRlyMsg::flag,
+                                    &JoinNotiRlyMsg::table};
 };
 
 struct InSysNotiMsg {};  // "I have become an S-node"
@@ -82,20 +130,24 @@ struct InSysNotiMsg {};  // "I have become an S-node"
 struct SpeNotiMsg {  // inform receiver of the existence of y
   NodeId x;  // initial sender (collects the final reply)
   NodeId y;  // the node being announced
+  static constexpr std::tuple kWire{&SpeNotiMsg::x, &SpeNotiMsg::y};
 };
 
 struct SpeNotiRlyMsg {
   NodeId x;
   NodeId y;
+  static constexpr std::tuple kWire{&SpeNotiRlyMsg::x, &SpeNotiRlyMsg::y};
 };
 
 struct RvNghNotiMsg {  // "I stored you in my table" (sender is a reverse
                        // neighbor of the receiver)
   NeighborState recorded_state;  // s: state the sender recorded
+  static constexpr std::tuple kWire{&RvNghNotiMsg::recorded_state};
 };
 
 struct RvNghNotiRlyMsg {
   NeighborState actual_state;  // S iff the replier is in status in_system
+  static constexpr std::tuple kWire{&RvNghNotiRlyMsg::actual_state};
 };
 
 // ---- Leave-protocol messages (this library's extension; the paper defers
@@ -108,6 +160,7 @@ struct LeaveMsg {  // "I am leaving; here are replacement candidates"
   // covers, so the receiver can repair locally (or correctly null the
   // entry when the leaver was the last member).
   TableSnapshot candidates;
+  static constexpr std::tuple kWire{&LeaveMsg::candidates};
 };
 
 struct LeaveRlyMsg {};  // ack: receiver repaired (or didn't need to)
@@ -123,12 +176,19 @@ struct PongMsg {};
 struct RepairQueryMsg {  // "what does your (level, digit) entry hold?"
   std::uint8_t level;
   std::uint8_t digit;
+  static constexpr std::tuple kWire{
+      wire::as<wire::Level>(&RepairQueryMsg::level),
+      wire::as<wire::Digit>(&RepairQueryMsg::digit)};
 };
 
 struct RepairRlyMsg {
   std::uint8_t level;
   std::uint8_t digit;
   NodeId candidate;  // invalid = no candidate (entry empty or not shared)
+  static constexpr std::tuple kWire{
+      wire::as<wire::Level>(&RepairRlyMsg::level),
+      wire::as<wire::Digit>(&RepairRlyMsg::digit),
+      wire::as<wire::MaybeRef>(&RepairRlyMsg::candidate)};
 };
 
 // Push-phase re-announcement: after a repair round clears every entry that
@@ -138,6 +198,7 @@ struct RepairRlyMsg {
 // that lost their only inbound pointer when a crashed node died. No reply.
 struct AnnounceMsg {
   TableSnapshot table;
+  static constexpr std::tuple kWire{&AnnounceMsg::table};
 };
 
 // ---- Reliable-delivery message (transport-internal; see
@@ -145,6 +206,7 @@ struct AnnounceMsg {
 
 struct RelAckMsg {  // acknowledges receipt of the message numbered acked_seq
   std::uint32_t acked_seq = 0;
+  static constexpr std::tuple kWire{&RelAckMsg::acked_seq};
 };
 
 using MessageBody =
@@ -193,9 +255,41 @@ enum class MessageType : std::uint8_t {
   kAnnounce,
   kRelAck,
 };
-inline constexpr std::size_t kNumMessageTypes = 20;
+inline constexpr std::size_t kNumMessageTypes =
+    std::variant_size_v<MessageBody>;
 
-MessageType type_of(const MessageBody& body);
+// Enumerator i names alternative i of MessageBody, so type_of() is the
+// variant index. Each pairing is stated here once.
+template <MessageType T, class Body>
+inline constexpr bool kIsBodyOf = std::is_same_v<
+    std::variant_alternative_t<static_cast<std::size_t>(T), MessageBody>, Body>;
+static_assert(kIsBodyOf<MessageType::kCpRst, CpRstMsg> &&
+              kIsBodyOf<MessageType::kCpRly, CpRlyMsg> &&
+              kIsBodyOf<MessageType::kJoinWait, JoinWaitMsg> &&
+              kIsBodyOf<MessageType::kJoinWaitRly, JoinWaitRlyMsg> &&
+              kIsBodyOf<MessageType::kJoinNoti, JoinNotiMsg> &&
+              kIsBodyOf<MessageType::kJoinNotiRly, JoinNotiRlyMsg> &&
+              kIsBodyOf<MessageType::kInSysNoti, InSysNotiMsg> &&
+              kIsBodyOf<MessageType::kSpeNoti, SpeNotiMsg> &&
+              kIsBodyOf<MessageType::kSpeNotiRly, SpeNotiRlyMsg> &&
+              kIsBodyOf<MessageType::kRvNghNoti, RvNghNotiMsg> &&
+              kIsBodyOf<MessageType::kRvNghNotiRly, RvNghNotiRlyMsg> &&
+              kIsBodyOf<MessageType::kLeave, LeaveMsg> &&
+              kIsBodyOf<MessageType::kLeaveRly, LeaveRlyMsg> &&
+              kIsBodyOf<MessageType::kNghDrop, NghDropMsg> &&
+              kIsBodyOf<MessageType::kPing, PingMsg> &&
+              kIsBodyOf<MessageType::kPong, PongMsg> &&
+              kIsBodyOf<MessageType::kRepairQuery, RepairQueryMsg> &&
+              kIsBodyOf<MessageType::kRepairRly, RepairRlyMsg> &&
+              kIsBodyOf<MessageType::kAnnounce, AnnounceMsg> &&
+              kIsBodyOf<MessageType::kRelAck, RelAckMsg> &&
+                  static_cast<std::size_t>(MessageType::kRelAck) + 1 ==
+                      kNumMessageTypes,
+              "MessageType must name the MessageBody alternatives in order");
+
+inline MessageType type_of(const MessageBody& body) {
+  return static_cast<MessageType>(body.index());
+}
 const char* type_name(MessageType t);
 
 // Is this one of the three "big" message types of §5.2 (those that may carry
@@ -211,14 +305,14 @@ bool is_big_request(MessageType t);
 // carries the originator's generation down the chain to its reply.
 bool echoes_request_gen(MessageType t);
 
-// ---- Wire-size model ----
+// ---- Wire sizes (defined with the codec, proto/codec.cpp) ----
 //
 // header: 40 bytes (IP + UDP + message type + join-protocol header)
 // node id: ceil(d * ceil(log2 b) / 8) bytes
 // node reference (id + IPv4:port): id bytes + 6
 // table snapshot: d*b-bit presence bitmap + one node reference + state byte
 //                 per present entry
-// bit vector (when present): d*b bits
+// A message is the header, the sender's reference and its kWire fields.
 
 std::size_t id_wire_bytes(const IdParams& params);
 std::size_t node_ref_wire_bytes(const IdParams& params);

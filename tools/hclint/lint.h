@@ -1,19 +1,11 @@
 // hclint: repo-specific static analysis for the hcube source tree.
 //
-// A self-contained scanner (no libclang) that enforces the cross-file
-// exhaustiveness and hygiene rules generic linters cannot express:
+// A self-contained scanner (no libclang) that enforces the hygiene rules
+// generic linters cannot express. (Per-message-type exhaustiveness needs
+// no lint: the codec derives every size, write and read from each body's
+// kWire list, static_asserts pin the MessageType/MessageBody pairing, and
+// -Werror=switch keeps type_name() and to_string(NodeStatus) complete.)
 //
-//   type-name-missing        a MessageType enumerator has no type_name() arm
-//   codec-decode-missing     a MessageType enumerator is absent from the
-//                            decode_message() switch
-//   codec-encode-missing     a non-empty MessageBody struct is absent from
-//                            the encode_message() body
-//   wire-size-missing        a MessageBody alternative is absent from the
-//                            wire_size_bytes(const MessageBody&) visit
-//   status-to-string-missing a NodeStatus enumerator has no
-//                            to_string(NodeStatus) arm
-//   msg-count-mismatch       kNumMessageTypes disagrees with the enumerator
-//                            count or the MessageBody variant arity
 //   no-rand                  std::rand/srand/random_device (determinism:
 //                            all randomness flows through util/rng.h)
 //   no-wall-clock            time()/clock()/chrono clocks (simulated time
@@ -81,9 +73,8 @@
 // by putting "hclint: allow(<rule>)" in a comment on the offending line;
 // every waiver must suppress at least one finding or waiver-unused fires.
 //
-// The scanner keys on this repo's idioms (function signatures, enum names);
-// exhaustiveness rules simply stay quiet when their anchors (the enum, the
-// function) are not in the scanned set, so fixtures can be single files.
+// The scanner keys on this repo's idioms (macro names, path layout, scratch
+// accessors), so fixtures can be single files.
 #pragma once
 
 #include <cstddef>
